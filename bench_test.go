@@ -298,8 +298,8 @@ func BenchmarkVirtualRead(b *testing.B) {
 		}
 		d.Run()
 		// Warm the pooled-completion and scratch paths before the timer: the
-		// allocs/op baseline pins the steady state, which must hold even at
-		// -benchtime 1x (the CI gate's setting), not the cold first call.
+		// allocs/op baseline pins the steady state, which must hold from the
+		// first timed iteration, not the cold first call.
 		for i := 0; i < 32; i++ {
 			if _, err := cl.Read(context.Background(), th.Addr(), micropnp.TMP36); err != nil {
 				b.Fatal(err)

@@ -43,13 +43,19 @@ func (c *Client) InFlight() int { return c.cl.Pending() }
 
 // OnAdvert registers a callback invoked for every incoming advertisement,
 // replacing any callback registered before. For composable listeners use
-// AddAdvertHook.
+// AddAdvertHook. In virtual mode the callback may make blocking SDK calls:
+// they drive the simulator inline from inside it.
 func (c *Client) OnAdvert(fn func(Advert)) {
 	if fn == nil {
 		c.cl.OnAdvert(nil)
 		return
 	}
-	c.cl.OnAdvert(func(a client.Advert) { fn(advertFrom(a)) })
+	d := c.d
+	c.cl.OnAdvert(func(a client.Advert) {
+		d.enterCallback()
+		defer d.exitCallback()
+		fn(advertFrom(a))
+	})
 }
 
 // AddAdvertHook registers an additional advertisement listener. Unlike
@@ -58,12 +64,18 @@ func (c *Client) OnAdvert(fn func(Advert)) {
 // feeding on the advert flow, an application callback — can coexist without
 // clobbering each other. Hooks cannot be removed; they live as long as the
 // client. Hooks run on the goroutine delivering the advert (a pool worker in
-// real-time mode) and must not block.
+// real-time mode) and must not block; in virtual mode a blocking SDK call
+// from a hook drives the simulator inline, as from OnAdvert.
 func (c *Client) AddAdvertHook(fn func(Advert)) {
 	if fn == nil {
 		return
 	}
-	c.cl.AddAdvertHook(func(a client.Advert) { fn(advertFrom(a)) })
+	d := c.d
+	c.cl.AddAdvertHook(func(a client.Advert) {
+		d.enterCallback()
+		defer d.exitCallback()
+		fn(advertFrom(a))
+	})
 }
 
 // units resolves the unit string for a peripheral type: what the Thing
@@ -292,8 +304,9 @@ func (s *Subscription) Close() {
 // Subscribe requests a peripheral's value stream from a Thing and blocks
 // until the stream is established (the Thing answers with the multicast
 // group to join) or the deadline passes. onReading may be nil; readings are
-// always retained in the returned handle. Remember to Close the
-// subscription when done:
+// always retained in the returned handle, and in virtual mode onReading may
+// make blocking SDK calls, which drive the simulator inline. Remember to
+// Close the subscription when done:
 //
 //	sub, err := cl.Subscribe(ctx, th.Addr(), micropnp.BMP180, nil)
 //	if err != nil { ... }
@@ -324,6 +337,8 @@ func (c *Client) Subscribe(ctx context.Context, thing netip.Addr, id DeviceID, o
 				cb := sub.onRead
 				sub.mu.Unlock()
 				if cb != nil {
+					c.d.enterCallback()
+					defer c.d.exitCallback()
 					cb(r)
 				}
 			},

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -450,4 +451,277 @@ func TestSubscriptionCloseConcurrentWithDelivery(t *testing.T) {
 		t.Fatal("no readings on a fresh subscription after concurrent closes")
 	}
 	sub.Close()
+}
+
+// deadlockGuard runs fn on its own goroutine and fails the test if it has
+// not returned within 30 s — a nested SDK call that parks on its own driver
+// would otherwise hang the suite.
+func deadlockGuard(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s deadlocked", what)
+	}
+}
+
+// nestedFixture is a deployment for the reentrancy tests: TMP36 probes, a
+// relay bank, a spare Thing whose plug-in produces an unsolicited advert,
+// and one client. On a zoned deployment the Things spread over zones 1-3
+// and background streams keep several lanes busy, so barrier rounds run
+// lanes in parallel while callbacks fire.
+type nestedFixture struct {
+	d      *micropnp.Deployment
+	cl     *micropnp.Client
+	probe  *micropnp.Thing
+	relays *micropnp.Thing
+	bank   *micropnp.RelayBank
+	spare  *micropnp.Thing
+}
+
+func newNestedFixture(t *testing.T, zones, workers int) *nestedFixture {
+	t.Helper()
+	opts := []micropnp.Option{micropnp.WithStreamPeriod(200 * time.Millisecond)}
+	if zones > 1 {
+		opts = append(opts, micropnp.WithZones(zones), micropnp.WithShardWorkers(workers))
+	}
+	d, err := micropnp.NewDeployment(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zone := func(z uint16) micropnp.ThingOption {
+		if zones > 1 {
+			return micropnp.InZone(z % uint16(zones))
+		}
+		return micropnp.InZone(0)
+	}
+	f := &nestedFixture{d: d}
+	var probes []*micropnp.Thing
+	for z := uint16(1); z <= 3; z++ {
+		th, err := d.AddThing(fmt.Sprintf("probe-%d", z), zone(z), micropnp.WithPeripherals(micropnp.TMP36))
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes = append(probes, th)
+	}
+	f.probe = probes[2]
+	if f.relays, err = d.AddThing("relays", zone(2)); err != nil {
+		t.Fatal(err)
+	}
+	if f.bank, err = f.relays.PlugRelay(0); err != nil {
+		t.Fatal(err)
+	}
+	if f.spare, err = d.AddThing("spare", zone(3)); err != nil {
+		t.Fatal(err)
+	}
+	if f.cl, err = d.AddClient(); err != nil {
+		t.Fatal(err)
+	}
+	d.Run()
+	for _, th := range probes[:2] {
+		sub, err := f.cl.Subscribe(context.Background(), th.Addr(), micropnp.TMP36, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sub.Close)
+	}
+	return f
+}
+
+// nestedOps are the blocking calls issued from inside callbacks; each
+// returns an error describing a wrong outcome.
+var nestedOps = []struct {
+	name string
+	call func(f *nestedFixture) error
+}{
+	{"Read", func(f *nestedFixture) error {
+		r, err := f.cl.Read(context.Background(), f.probe.Addr(), micropnp.TMP36)
+		if err == nil && len(r.Values) == 0 {
+			err = errors.New("empty reading")
+		}
+		return err
+	}},
+	{"Write", func(f *nestedFixture) error {
+		if err := f.cl.Write(context.Background(), f.relays.Addr(), micropnp.Relay, []int32{0b101}); err != nil {
+			return err
+		}
+		if got := f.bank.State(); got != 0b101 {
+			return fmt.Errorf("relay state %08b after nested write", got)
+		}
+		return nil
+	}},
+	{"RunFor", func(f *nestedFixture) error {
+		before := f.d.Now()
+		f.d.RunFor(2 * time.Second)
+		if span := f.d.Now() - before; span < 2*time.Second {
+			return fmt.Errorf("nested RunFor(2s) advanced the clock by %v", span)
+		}
+		return nil
+	}},
+}
+
+// callbackEntries are the simulator-driven callback entry points; each
+// registers cb to run once from inside the simulation and then drives the
+// deployment until it has.
+var callbackEntries = []struct {
+	name string
+	run  func(f *nestedFixture, cb func()) error
+}{
+	{"ScheduleAfter", func(f *nestedFixture, cb func()) error {
+		f.d.ScheduleAfter(30*time.Millisecond, cb)
+		f.d.RunFor(5 * time.Second)
+		return nil
+	}},
+	{"OnAdvert", func(f *nestedFixture, cb func()) error {
+		var once atomic.Bool
+		f.cl.OnAdvert(func(micropnp.Advert) {
+			if once.CompareAndSwap(false, true) {
+				cb()
+			}
+		})
+		if err := f.spare.PlugHIH4030(0); err != nil {
+			return err
+		}
+		f.d.RunFor(10 * time.Second)
+		return nil
+	}},
+	{"AddAdvertHook", func(f *nestedFixture, cb func()) error {
+		var once atomic.Bool
+		f.cl.AddAdvertHook(func(micropnp.Advert) {
+			if once.CompareAndSwap(false, true) {
+				cb()
+			}
+		})
+		if err := f.spare.PlugHIH4030(0); err != nil {
+			return err
+		}
+		f.d.RunFor(10 * time.Second)
+		return nil
+	}},
+	{"Subscribe", func(f *nestedFixture, cb func()) error {
+		var once atomic.Bool
+		sub, err := f.cl.Subscribe(context.Background(), f.probe.Addr(), micropnp.TMP36, func(micropnp.Reading) {
+			if once.CompareAndSwap(false, true) {
+				cb()
+			}
+		})
+		if err != nil {
+			return err
+		}
+		f.d.RunFor(5 * time.Second)
+		sub.Close()
+		return nil
+	}},
+}
+
+// TestNestedSDKCallsFromEveryCallbackVirtual issues a blocking Read, Write
+// and RunFor from inside each callback entry point, on the single-loop
+// clock and on a zoned deployment at shard workers 1 and the default. The
+// nested call must drive the simulator inline rather than park on its own
+// driver; on the zoned clock the two worker counts must also end in the same
+// state, since a nested call settles the interrupted round first.
+func TestNestedSDKCallsFromEveryCallbackVirtual(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	type outcome struct {
+		now   time.Duration
+		stats micropnp.NetworkStats
+	}
+	for _, entry := range callbackEntries {
+		for _, op := range nestedOps {
+			t.Run(entry.name+"/"+op.name, func(t *testing.T) {
+				var zoned []outcome
+				for _, clk := range []struct {
+					name           string
+					zones, workers int
+				}{{"single-loop", 0, 0}, {"zoned/workers=1", 4, 1}, {"zoned/workers=default", 4, 0}} {
+					f := newNestedFixture(t, clk.zones, clk.workers)
+					ran := false
+					var runErr, nestedErr error
+					deadlockGuard(t, clk.name+" nested "+op.name, func() {
+						runErr = entry.run(f, func() {
+							ran = true
+							nestedErr = op.call(f)
+						})
+					})
+					if runErr != nil {
+						t.Fatalf("%s: %v", clk.name, runErr)
+					}
+					if !ran {
+						t.Fatalf("%s: callback never ran; nested call untested", clk.name)
+					}
+					if nestedErr != nil {
+						t.Fatalf("%s: nested %s: %v", clk.name, op.name, nestedErr)
+					}
+					if n := f.cl.InFlight(); n != 0 {
+						t.Fatalf("%s: %d requests still pending", clk.name, n)
+					}
+					if clk.zones > 1 {
+						zoned = append(zoned, outcome{f.d.Now(), f.d.NetworkStats()})
+					}
+				}
+				if zoned[0] != zoned[1] {
+					t.Fatalf("zoned runs diverged across worker counts:\nworkers=1:       %+v\nworkers=default: %+v", zoned[0], zoned[1])
+				}
+			})
+		}
+	}
+}
+
+// TestConductStrandContext pins the strand-context contract: a strand's
+// calls carrying Strand.Context park on the baton and complete, while a
+// blocking call that carries no strand — a strand that forgot its context,
+// or one driving the clock itself — panics instead of hanging on the
+// driver lock the orchestrator holds.
+func TestConductStrandContext(t *testing.T) {
+	d, err := micropnp.NewDeployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	things := plugFleet(t, d, 2)
+	cl, err := d.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Run()
+
+	var reads [2]error
+	var forgot, drove any
+	deadlockGuard(t, "Conduct", func() {
+		d.Conduct(
+			func(s *micropnp.Strand) {
+				_, reads[0] = cl.Read(s.Context(), things[0].Addr(), micropnp.TMP36)
+			},
+			func(s *micropnp.Strand) {
+				defer func() { forgot = recover() }()
+				_, _ = cl.Read(context.Background(), things[1].Addr(), micropnp.TMP36)
+			},
+			func(s *micropnp.Strand) {
+				defer func() { drove = recover() }()
+				d.RunFor(time.Second)
+			},
+			func(s *micropnp.Strand) {
+				s.Until(s.Now() + 50*time.Millisecond)
+				_, reads[1] = cl.Read(s.Context(), things[1].Addr(), micropnp.TMP36)
+			},
+		)
+	})
+	for i, err := range reads {
+		if err != nil {
+			t.Fatalf("strand read %d: %v", i, err)
+		}
+	}
+	for what, p := range map[string]any{"a call without the strand context": forgot, "RunFor on a strand": drove} {
+		if msg, _ := p.(string); !strings.Contains(msg, "Strand.Context") {
+			t.Fatalf("%s: recovered %v, want a panic naming Strand.Context", what, p)
+		}
+	}
+	// The deployment is usable again once Conduct returned.
+	if _, err := cl.Read(context.Background(), things[0].Addr(), micropnp.TMP36); err != nil {
+		t.Fatal(err)
+	}
 }

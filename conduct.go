@@ -1,6 +1,7 @@
 package micropnp
 
 import (
+	"context"
 	"time"
 )
 
@@ -21,11 +22,20 @@ import (
 // workloads issue ops from one strand per zone group between rounds instead
 // of a single thread feeding all lanes (the loadgen zoned engine).
 //
+// Strands identify themselves by context, not by goroutine: a strand's SDK
+// calls must carry Strand.Context() (or a context derived from it), which
+// routes them onto the baton. While Conduct runs it owns the simulator, so
+// a blocking call carrying no strand — from a strand that forgot its
+// context or from any other goroutine — panics instead of waiting forever
+// for a driver lock the orchestrator holds. Blocking calls made from
+// simulator callbacks (OnReading, OnAdvert, ScheduleAfter closures) run
+// reentrantly on the orchestrator, as they do under Run.
+//
 // Constraints: virtual mode only (panics in realtime mode — plain goroutines
-// are the right tool there); strand functions must make SDK calls with
-// contexts that carry no deadline (WithRequestTimeout bounds them in virtual
-// time; wall-clock deadlines would break determinism) and must not call
-// Run/RunFor/Quiesce/Conduct themselves — the orchestrator owns the clock.
+// are the right tool there); strand contexts must carry no deadline
+// (WithRequestTimeout bounds calls in virtual time; wall-clock deadlines
+// would break determinism); strands must not call Run/RunFor/Quiesce/Conduct
+// themselves — the orchestrator owns the clock, and those calls panic.
 func (d *Deployment) Conduct(fns ...func(*Strand)) {
 	if d.realtime {
 		panic("micropnp: Conduct requires virtual mode")
@@ -33,28 +43,29 @@ func (d *Deployment) Conduct(fns ...func(*Strand)) {
 	if len(fns) == 0 {
 		return
 	}
-	self := gid()
 	d.waiters.Add(1)
 	defer d.waiters.Add(-1)
-	d.pumpMu.Lock()
-	d.driverGid.Store(self)
+	if !d.pumpMu.TryLock() {
+		if d.reentrant() {
+			panic("micropnp: Conduct called from a simulator callback")
+		}
+		d.checkConduct()
+		d.waitLock()
+	}
+	c := &conductor{strands: make([]*Strand, len(fns))}
+	for i, fn := range fns {
+		s := &Strand{d: d, c: c, resume: make(chan struct{}), yielded: make(chan struct{})}
+		s.ctx = context.WithValue(context.Background(), strandKey{}, s)
+		c.strands[i] = s
+		go s.top(fn)
+	}
+	// From here calls carrying a strand's context park on the baton; the
+	// strands themselves start on their first handoff.
+	d.conduct.Store(c)
 	defer func() {
 		d.conduct.Store(nil)
-		d.driverGid.Store(0)
-		d.pumpMu.Unlock()
-		d.broadcastStep()
+		d.release()
 	}()
-	c := &conductor{byGid: make(map[int64]*Strand, len(fns))}
-	for _, fn := range fns {
-		s := &Strand{d: d, resume: make(chan struct{}), yielded: make(chan struct{})}
-		c.strands = append(c.strands, s)
-		go s.top(fn)
-		<-s.yielded // the strand recorded its gid and parked before fn runs
-		c.byGid[s.gid] = s
-	}
-	// Publish the gid map only when complete: from here SDK calls on strand
-	// goroutines divert into parkAwait instead of the await driver election.
-	d.conduct.Store(c)
 	net := d.core.Network
 	for {
 		// Resume every runnable strand, in index order, until a full pass
@@ -99,20 +110,19 @@ func (d *Deployment) Conduct(fns ...func(*Strand)) {
 	}
 }
 
-// conductor is one Conduct call's strand registry; immutable once published.
+// conductor is one Conduct call's strand set; immutable once published.
 type conductor struct {
 	strands []*Strand
-	byGid   map[int64]*Strand
 }
 
-// conductedStrand returns the Strand owning the calling goroutine, or nil
-// when no Conduct is active or the goroutine is not a strand.
-func (d *Deployment) conductedStrand(self int64) *Strand {
-	c := d.conduct.Load()
-	if c == nil {
-		return nil
-	}
-	return c.byGid[self]
+// strandKey is the context key under which Strand.Context carries its
+// strand.
+type strandKey struct{}
+
+// strandOf returns the strand a context carries, or nil.
+func strandOf(ctx context.Context) *Strand {
+	s, _ := ctx.Value(strandKey{}).(*Strand)
+	return s
 }
 
 type strandState int
@@ -128,7 +138,8 @@ const (
 // meaningful on the strand's own goroutine, while it holds the baton.
 type Strand struct {
 	d   *Deployment
-	gid int64
+	c   *conductor
+	ctx context.Context
 	// resume and yielded are the unbuffered baton channels: the orchestrator
 	// sends resume to run the strand and receives yielded when it parks or
 	// finishes. The state fields below are written by whichever side holds
@@ -141,11 +152,9 @@ type Strand struct {
 	cpl     *completion
 }
 
-// top is the strand goroutine's trampoline: record the gid, park once for
-// registration, then run fn to completion.
+// top is the strand goroutine's trampoline: wait for the first handoff,
+// then run fn to completion.
 func (s *Strand) top(fn func(*Strand)) {
-	s.gid = gid()
-	s.yielded <- struct{}{}
 	<-s.resume
 	fn(s)
 	s.state = strandDone
@@ -188,14 +197,19 @@ func (s *Strand) Until(t time.Duration) {
 // Now returns the current virtual time.
 func (s *Strand) Now() time.Duration { return s.d.Now() }
 
+// Context returns the context the strand's SDK calls must carry: it marks
+// them as this strand's, so they yield the baton while their requests are in
+// flight. It carries no deadline; derive from it only with values.
+func (s *Strand) Context() context.Context { return s.ctx }
+
 // parkAwait is the conducted branch of Deployment.await: instead of joining
-// the driver election, the strand yields the baton with its completion
+// taking the driver lock, the strand yields the baton with its completion
 // attached and blocks until the orchestrator — having advanced the simulator
 // far enough for the completion to fire — resumes it. The request's
 // virtual-time expiry guarantees the completion fires, so conducted calls
 // never hang and never time out at this layer (the op itself may still
 // report ErrTimeout through its callback).
-func (s *Strand) parkAwait(cpl *completion) error {
+func (s *Strand) parkAwait(cpl *completion) {
 	s.state = strandWaitDone
 	s.cpl = cpl
 	s.yielded <- struct{}{}
@@ -204,5 +218,4 @@ func (s *Strand) parkAwait(cpl *completion) error {
 	<-cpl.ch
 	// Not recycled here: await hands the fired completion back to the SDK
 	// call, which harvests its result slots and recycles it.
-	return nil
 }

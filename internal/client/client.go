@@ -165,6 +165,9 @@ type Client struct {
 	units          map[hw.DeviceID]string
 	onAdvert       func(Advert)
 	advertHooks    []func(Advert)
+
+	// sendHook, when set, runs at the start of every send (see SetSendHook).
+	sendHook func()
 }
 
 // Config configures a client.
@@ -393,6 +396,9 @@ func (c *Client) ExpireEvent(seqgen uint64, tok any) {
 // manager and thing rather than shared behind an interface — see the note in
 // netsim/packet.go.
 func (c *Client) send(dst netip.Addr, m *proto.Message) {
+	if c.sendHook != nil {
+		c.sendHook()
+	}
 	pb := netsim.AcquireBuf()
 	b, err := m.AppendEncode(pb.B[:0])
 	if err != nil {
@@ -402,6 +408,12 @@ func (c *Client) send(dst netip.Addr, m *proto.Message) {
 	pb.B = b
 	c.node.SendBuf(dst, netsim.Port6030, pb)
 }
+
+// SetSendHook installs fn to run at the start of every datagram the client
+// sends: for a request, after it registered and armed its expiry and before
+// the datagram reaches the network. Tests use it to force interleavings at
+// that seam. Install it before the client's traffic starts; nil removes it.
+func (c *Client) SetSendHook(fn func()) { c.sendHook = fn }
 
 // Pending returns the number of in-flight requests (reads, writes and
 // discoveries awaiting completion). Streams pending establishment are not

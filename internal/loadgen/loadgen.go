@@ -155,9 +155,11 @@ func run(cfg Config) (*runner, *Result, error) {
 		r.deps = make([]*micropnp.Deployment, cfg.Deployments)
 		for i := range r.deps {
 			if r.deps[i], err = micropnp.NewDeployment(deployOpts(cfg, cfg.Seed+int64(i)*104729, i)...); err != nil {
+				closeAll(r.deps[:i])
 				return nil, nil, err
 			}
 		}
+		defer closeAll(r.deps)
 		if r.fleet, err = micropnp.NewFleet(r.deps...); err != nil {
 			return nil, nil, err
 		}
@@ -180,9 +182,9 @@ func run(cfg Config) (*runner, *Result, error) {
 		if derr != nil {
 			return nil, nil, derr
 		}
-		if cfg.Realtime {
-			defer d.Close()
-		}
+		// Close in both modes: a virtual zoned deployment still holds its
+		// sharded clock's worker pool, and through it the whole simulation.
+		defer d.Close()
 		r.d = d
 		if r.targets, r.writables, err = buildTopology(d, cfg); err != nil {
 			return nil, nil, err
@@ -209,6 +211,13 @@ func run(cfg Config) (*runner, *Result, error) {
 	}
 	r.teardown()
 	return r, r.result(), nil
+}
+
+// closeAll closes every deployment a run built.
+func closeAll(deps []*micropnp.Deployment) {
+	for _, d := range deps {
+		d.Close()
+	}
 }
 
 // deployOpts assembles one deployment's option list. Fleet members get their
@@ -365,8 +374,10 @@ func (r *runner) recordable(t time.Duration) bool {
 // intended arrival instant (counting backlog delay — the coordinated
 // omission correction); closed-loop latency from the actual issue time. The
 // op's clock is its target's deployment — in fleet runs each member keeps its
-// own virtual timeline and ops route through the fleet surface.
-func (r *runner) exec(lane int, p plan, intended time.Duration, openLoop bool) {
+// own virtual timeline and ops route through the fleet surface. ctx is the
+// op's SDK context: context.Background, or the issuing strand's context in
+// the conducted engine.
+func (r *runner) exec(ctx context.Context, lane int, p plan, intended time.Duration, openLoop bool) {
 	d := r.depClock(r.planDep(p))
 	from := d.Now()
 	if openLoop {
@@ -378,7 +389,6 @@ func (r *runner) exec(lane int, p plan, intended time.Duration, openLoop bool) {
 		st.issued.Add(1)
 		r.laneOps[lane].Add(1)
 	}
-	ctx := context.Background()
 	switch p.op {
 	case OpRead:
 		buf := r.bufs.Get().(*[]int32)
@@ -672,7 +682,7 @@ func (r *runner) runVirtual() {
 			r.advanceTo(next)
 			p := r.drawPlan(rng, 0, next, true)
 			r.enterOp()
-			r.exec(0, p, next, true)
+			r.exec(context.Background(), 0, p, next, true)
 			r.leaveOp()
 			next += r.interarrival(rng)
 		}
@@ -698,7 +708,7 @@ func (r *runner) runVirtual() {
 		r.advanceTo(nextFree[w])
 		p := r.drawPlan(rngs[w], w, 0, false)
 		r.enterOp()
-		r.exec(w, p, 0, false)
+		r.exec(context.Background(), w, p, 0, false)
 		r.leaveOp()
 		nextFree[w] = r.d.Now() + r.cfg.Think
 	}
@@ -792,7 +802,7 @@ func (r *runner) strandLoop(s *micropnp.Strand, arr []arrival) {
 		s.Until(a.at)
 		a.p.sink = &subs
 		r.enterOp()
-		r.exec(0, a.p, a.at, true)
+		r.exec(s.Context(), 0, a.p, a.at, true)
 		r.leaveOp()
 	}
 	// Hand leftover holds to the shared list for teardown; strands run one at
@@ -867,7 +877,7 @@ func (r *runner) runRealtime() {
 					defer wg.Done()
 					r.enterOp()
 					defer r.leaveOp()
-					r.exec(0, p, intended, true)
+					r.exec(context.Background(), 0, p, intended, true)
 				}()
 			}
 			next += r.interarrival(rng)
@@ -885,7 +895,7 @@ func (r *runner) runRealtime() {
 					}
 					p := r.drawPlan(rng, w, 0, false)
 					r.enterOp()
-					r.exec(w, p, 0, false)
+					r.exec(context.Background(), w, p, 0, false)
 					r.leaveOp()
 					select {
 					case <-time.After(think):

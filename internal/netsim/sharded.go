@@ -84,14 +84,16 @@ type ShardedClock struct {
 	mergeOrder []int32
 
 	// Persistent worker pool: workers-1 helper goroutines park on workCh
-	// tokens; each token is one round participation (claim lanes off cursor
-	// until drained, then partWG.Done). The driving goroutine participates
-	// too and waits for every woken helper before reusing round state, so
-	// rounds allocate nothing and no helper ever reads stale scratch.
+	// tokens; each token is one round participation (claim lanes of claimIdx
+	// off cursor until drained, then partWG.Done). The driving goroutine
+	// participates too and waits for every woken helper before reusing round
+	// state, so rounds allocate nothing and no helper ever reads stale
+	// scratch.
 	poolOnce    sync.Once
 	workCh      chan struct{}
 	stopCh      chan struct{}
 	stopOnce    sync.Once
+	claimIdx    []int32 // the round's active lanes minus lane 0
 	cursor      atomic.Int64
 	partWG      sync.WaitGroup
 	roundEvents atomic.Int64
@@ -428,11 +430,29 @@ func (c *ShardedClock) mergeBox(box []crossEvent) {
 	}
 }
 
-// scanMinima runs the serial head of a barrier: merge stranded outbox entries
-// (an external sender racing a round's end can leave one behind), then record
-// every lane's heap minimum, skipping lanes whose dirty flag shows them
-// empty. Returns the global minimum and whether any event is pending.
+// settle completes the current round's windows: the driving goroutine
+// claims the lanes still unclaimed and waits for every woken helper. Outside
+// a round it does nothing. Inside one it is a reentrant step, called from a
+// lane 0 handler on the driving goroutine (an SDK callback making a blocking
+// call): the other lanes finish their windows first, so the nested rounds
+// start from a barrier-consistent state on every worker count. The
+// interrupted lane 0 window resumes once the nested call returns.
+func (c *ShardedClock) settle() {
+	if !c.inRound.Load() {
+		return
+	}
+	c.claimLanes()
+	c.partWG.Wait()
+	c.inRound.Store(false)
+}
+
+// scanMinima runs the serial head of a barrier: settle a round a reentrant
+// step interrupted, merge stranded outbox entries (an external sender racing
+// a round's end can leave one behind), then record every lane's heap
+// minimum, skipping lanes whose dirty flag shows them empty. Returns the
+// global minimum and whether any event is pending.
 func (c *ShardedClock) scanMinima() (int64, bool) {
+	c.settle()
 	c.merge()
 	g := laneFar
 	for i, sl := range c.lanes {
@@ -574,7 +594,7 @@ func (c *ShardedClock) helper() {
 // until none remain. Lane windows and step counts index by lane, so
 // participants never write shared state beyond the atomics.
 func (c *ShardedClock) claimLanes() {
-	idx := c.activeIdx
+	idx := c.claimIdx
 	for {
 		k := int(c.cursor.Add(1)) - 1
 		if k >= len(idx) {
@@ -591,6 +611,14 @@ func (c *ShardedClock) claimLanes() {
 // scanMinima (global minimum g), bounded by limit (exclusive); then the
 // barrier — merge outboxes, apply deferred network mutations, advance the
 // global clock. Returns the number of events executed.
+//
+// Lane 0, the control lane, always runs on the driving goroutine, while
+// helpers take the other lanes: it hosts the manager, the clients and every
+// closure scheduled without a node, so every SDK callback runs on the
+// goroutine that is stepping the clock. A blocking SDK call made from such a
+// callback steps the clock reentrantly; scanMinima settles the interrupted
+// round first (see settle). Lanes never interact inside a round, so which
+// goroutine runs which lane, and in what order, cannot change a result.
 func (c *ShardedClock) roundFrom(g, limit int64) int {
 	c.computeWindows(g, limit)
 	active := c.activeIdx[:0]
@@ -600,32 +628,36 @@ func (c *ShardedClock) roundFrom(g, limit int64) int {
 		}
 	}
 	c.activeIdx = active
-	total := 0
+	lane0 := len(active) > 0 && active[0] == 0
+	claim := active
+	if lane0 {
+		claim = active[1:]
+	}
+	c.claimIdx = claim
+	c.cursor.Store(0)
+	c.roundEvents.Store(0)
 	c.inRound.Store(true)
-	if c.workers == 1 || len(active) == 1 || c.stopped() {
-		for _, li := range active {
-			total += c.lanes[li].runWindow(time.Duration(c.winNs[li]))
-		}
-	} else {
+	// Helpers only pay off for lanes the driving goroutine cannot take
+	// itself: it runs lane 0 when active, else claims one lane.
+	helpers := len(claim)
+	if !lane0 {
+		helpers--
+	}
+	if helpers > c.workers-1 {
+		helpers = c.workers - 1
+	}
+	if helpers > 0 && !c.stopped() {
 		c.ensurePool()
-		c.cursor.Store(0)
-		c.roundEvents.Store(0)
-		helpers := c.workers - 1
-		if h := len(active) - 1; h < helpers {
-			helpers = h
-		}
 		c.partWG.Add(helpers)
 		for i := 0; i < helpers; i++ {
 			c.workCh <- struct{}{}
 		}
-		c.claimLanes()
-		// Wait for every woken helper, not just for the work to drain: a
-		// helper that found the cursor exhausted may still be reading round
-		// state, which the next round overwrites.
-		c.partWG.Wait()
-		total = int(c.roundEvents.Load())
 	}
-	c.inRound.Store(false)
+	if lane0 {
+		c.roundEvents.Add(int64(c.lanes[0].runWindow(time.Duration(c.winNs[0]))))
+	}
+	c.settle()
+	total := int(c.roundEvents.Load())
 	c.merge()
 	if c.postRound != nil {
 		c.postRound()

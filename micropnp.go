@@ -202,39 +202,51 @@ func WithSite(site int) Option {
 
 // Deployment is a complete simulated µPnP network: one manager at the
 // border-router position serving the standard driver repository, plus the
-// Things and Clients added to it. A Deployment is safe for concurrent use:
-// in virtual mode concurrent blocked calls elect one goroutine to drive the
-// simulator while the others park on their completion channels; in
-// real-time mode every call simply blocks until its reply arrives.
+// Things and Clients added to it. A Deployment is safe for concurrent use.
+// In virtual mode one goroutine at a time drives the simulator: a blocking
+// call takes the driver lock, registers and sends its request under it, and
+// steps until its completion fires, handing the lock over between steps when
+// other callers wait; a caller whose request another driver completes just
+// wakes up. In real-time mode every call simply blocks until its reply
+// arrives.
 type Deployment struct {
 	core     *core.Deployment
 	timeout  time.Duration
 	realtime bool
 	scale    float64
 
-	// pumpMu elects the single virtual-mode simulator driver; stepMu/stepCh
-	// broadcast simulation progress to parked waiters (the channel is closed
-	// and replaced on each broadcast). waiters counts goroutines that may
-	// park on stepCh, so the driver skips the broadcast entirely in the
-	// common single-goroutine case. driverGid records the driver's
-	// goroutine, letting SDK calls made from inside a simulator-driven
-	// callback (OnReading, OnAdvert, ScheduleAfter closures) detect the
-	// reentrancy and pump directly instead of parking on themselves.
+	// pumpMu is the virtual-mode driver lock: only its holder steps the
+	// simulator, and every request registers (arming its expiry) and sends
+	// under it, so no step can fall between the two. stepMu/stepCh broadcast
+	// each release to goroutines parked for the lock or for their
+	// completions (the channel is closed and replaced on each broadcast);
+	// waiters counts the goroutines inside await, pump and Conduct, so a lone
+	// caller skips the broadcast. cbDepth counts user callbacks in progress
+	// and driverGid holds the lock holder's goroutine id, recorded only once
+	// a callback runs during its tenure (see enterCallback).
 	pumpMu    sync.Mutex
 	stepMu    sync.Mutex
 	stepCh    chan struct{}
 	waiters   atomic.Int32
+	cbDepth   atomic.Int32
 	driverGid atomic.Int64
 
-	// conduct publishes the active Conduct call's strand registry; SDK calls
-	// made on a strand goroutine divert into the baton protocol instead of
-	// the driver election (see conduct.go).
+	// conduct publishes the active Conduct call; SDK calls carrying one of
+	// its strands' contexts park on the baton instead of taking the driver
+	// lock (see conduct.go).
 	conduct atomic.Pointer[conductor]
 
 	// closeCh unblocks realtime calls parked in await when the deployment
 	// is closed (their expiry events die with the clock).
 	closeCh   chan struct{}
 	closeOnce sync.Once
+
+	// lockWaitHook, when set, runs just before a virtual-mode caller blocks
+	// for a driver lock another goroutine holds; tests use it to observe
+	// that a caller reached the wait. stackWalks counts gid calls, so tests
+	// can assert which paths stay free of them.
+	lockWaitHook func()
+	stackWalks   atomic.Int64
 }
 
 // NewDeployment builds a deployment.
@@ -448,26 +460,23 @@ func (d *Deployment) Quiesce(horizon time.Duration) bool {
 	return idle
 }
 
-// pump runs a virtual-mode drive function as the elected driver: it takes
-// the driver lock, records its goroutine so nested SDK calls from inside
-// handlers pump reentrantly instead of deadlocking, and broadcasts progress
-// to parked await waiters afterwards. Called from a handler the current
-// driver is running, it drives the core directly — the election is already
-// held further up this goroutine's stack.
+// pump runs a virtual-mode drive function as the simulator's driver, under
+// the driver lock. Called from a callback the current driver is running, it
+// drives the core directly: the lock is already held further up this
+// goroutine's stack.
 func (d *Deployment) pump(drive func()) {
-	self := gid()
-	if d.driverGid.Load() == self {
-		drive()
-		return
-	}
 	d.waiters.Add(1)
 	defer d.waiters.Add(-1)
-	d.pumpMu.Lock()
-	d.driverGid.Store(self)
+	if !d.pumpMu.TryLock() {
+		if d.reentrant() {
+			drive()
+			return
+		}
+		d.checkConduct()
+		d.waitLock()
+	}
 	drive()
-	d.driverGid.Store(0)
-	d.pumpMu.Unlock()
-	d.broadcastStep()
+	d.release()
 }
 
 // Now returns the current virtual time.
@@ -475,9 +484,24 @@ func (d *Deployment) Now() time.Duration { return d.core.Network.Now() }
 
 // ScheduleAfter runs fn after a span of virtual time. Use it to stage
 // device-side stimuli — card swipes, environment changes — that should
-// occur while a synchronous call is driving the simulator.
+// occur while a synchronous call is driving the simulator. fn may itself make
+// blocking SDK calls; in virtual mode they drive the simulator from inside
+// the callback.
 func (d *Deployment) ScheduleAfter(delay time.Duration, fn func()) {
-	d.core.Network.Schedule(delay, fn)
+	// A typed event rather than a wrapper closure: fn travels as the event's
+	// token and scheduledCallback opens its callback scope when it fires.
+	d.core.Network.ScheduleExpiry(delay, (*scheduledCallback)(d), 0, fn)
+}
+
+// scheduledCallback fires ScheduleAfter closures inside a callback scope.
+type scheduledCallback Deployment
+
+// ExpireEvent implements netsim.Expirer.
+func (sc *scheduledCallback) ExpireEvent(_ uint64, fn any) {
+	d := (*Deployment)(sc)
+	d.enterCallback()
+	defer d.exitCallback()
+	fn.(func())()
 }
 
 // SetEnvironment updates the shared physical conditions every sensor
@@ -525,7 +549,16 @@ func (d *Deployment) AddManager() (int, error) {
 // ErrTimeout. Things with driver installs in flight recover on their own:
 // the install request is retransmitted to the anycast on the ARQ schedule
 // and lands on the nearest survivor.
-func (d *Deployment) FailManager(i int) error { return d.core.FailManager(i) }
+func (d *Deployment) FailManager(i int) error {
+	if d.realtime {
+		return d.core.FailManager(i)
+	}
+	// The migration re-registers and re-sends requests, so in virtual mode
+	// it runs under the driver lock like any other request start.
+	var err error
+	d.pump(func() { err = d.core.FailManager(i) })
+	return err
+}
 
 // NetworkStats is a snapshot of network activity counters.
 type NetworkStats struct {
@@ -635,12 +668,22 @@ func (d *Deployment) RemoveDriver(ctx context.Context, th *Thing, id DeviceID) e
 // In real-time mode the block is a plain channel wait — the event loop and
 // worker pool advance the network, and the registration's expiry timer
 // guarantees completion. In virtual mode nothing advances the clock unless
-// a caller does, so the blocked goroutines elect a driver: whoever acquires
-// pumpMu steps the simulator (completing everyone's requests, not just its
-// own) and broadcasts progress; the rest park until the next step or their
-// own completion. Every request arms a virtual-time expiry event at
-// registration, so a drained queue without completion cannot happen in
-// practice; it is reported as a timeout defensively.
+// a caller does. The caller takes the driver lock, runs start under it (so
+// no step falls between arming the expiry and sending the datagram) and
+// steps the simulator until its completion fires. Alone, it keeps the lock
+// across steps; with other callers waiting it releases the lock after every
+// step and then waits for its completion (which another driver's step may
+// fire) or its next turn. A caller that finds the lock held waits for it
+// before starting — at most one step of an await, or the rest of a
+// Run/RunFor/Quiesce — and notices a cancelled context once it holds it,
+// retracting the request it just registered.
+//
+// No common path needs the caller's goroutine identity: a conducted strand
+// is known by the context it passes, and the lock is only ever found held by
+// another driver or, during a callback, by this very goroutine (see
+// reentrant). Every pending request keeps its expiry queued until it
+// completes, so a driver never finds the simulator drained while it waits.
+//
 // On success await returns the fired completion WITHOUT recycling it: the
 // caller harvests the result slots (vals, err, at) the callback filled and
 // then calls recycle itself. On error the completion is abandoned to the GC
@@ -651,11 +694,8 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 		return nil, err
 	}
 	cpl := completionPool.Get().(*completion)
-	retract := start(timeout, cpl)
-	if retract == nil {
-		retract = noRetract // avoids nil checks at every abandonment site
-	}
 	if d.realtime {
+		retract := orNoRetract(start(timeout, cpl))
 		select {
 		case <-cpl.ch:
 			return cpl, nil
@@ -669,70 +709,70 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 			return nil, ErrClosed
 		}
 	}
-	self := gid()
-	// A conducted strand never joins the driver election: the Conduct
-	// orchestrator owns the simulator and resumes the strand when its
-	// completion has fired.
-	if s := d.conductedStrand(self); s != nil {
-		if err := s.parkAwait(cpl); err != nil {
-			return nil, err
+	if c := d.conduct.Load(); c != nil {
+		if s := strandOf(ctx); s != nil && s.c == c {
+			// The strand holds the baton, so the orchestrator is parked and
+			// nothing steps while start registers and sends.
+			start(timeout, cpl)
+			s.parkAwait(cpl)
+			return cpl, nil
 		}
-		return cpl, nil
 	}
-	// Count ourselves as a potential parker BEFORE sampling the progress
-	// channel: drivers check the count after releasing pumpMu, so a failed
-	// TryLock guarantees the holder will observe us and broadcast.
+	// Count ourselves BEFORE trying the lock: a holder that then sees
+	// waiters > 1 hands the lock over after its step and broadcasts, so
+	// neither a caller blocked for the lock nor one parked below is missed.
 	d.waiters.Add(1)
 	defer d.waiters.Add(-1)
-	for {
-		select {
-		case <-cpl.ch:
+	if !d.pumpMu.TryLock() {
+		if d.reentrant() {
+			// A nested call from a callback this goroutine runs as the
+			// driver: the lock is held up the stack, so step inline.
+			retract := orNoRetract(start(timeout, cpl))
+			for !cpl.take() {
+				if err := ctx.Err(); err != nil {
+					retract()
+					return nil, err
+				}
+				d.step()
+			}
 			return cpl, nil
-		default:
+		}
+		// Another goroutine drives: wait for the lock (its holder hands it
+		// over after its current step, or when its Run/RunFor/Quiesce ends).
+		d.checkConduct()
+		d.waitLock()
+	}
+	retract := orNoRetract(start(timeout, cpl))
+	for {
+		// The driver lock is held here.
+		if cpl.take() {
+			d.release()
+			return cpl, nil
 		}
 		if err := ctx.Err(); err != nil {
+			d.release()
 			retract()
 			return nil, err
 		}
-		// Sample the progress channel BEFORE trying to become the driver:
-		// every broadcast after this point closes the sampled channel, so a
-		// driver finishing between our failed TryLock and our wait cannot
-		// strand us on a channel nobody closes.
-		progress := d.stepChan()
-		if d.pumpMu.TryLock() {
-			d.driverGid.Store(self)
-			stepped := d.core.Network.Step()
-			d.driverGid.Store(0)
-			d.pumpMu.Unlock()
-			// Broadcast AFTER releasing pumpMu: a goroutine whose TryLock
-			// failed while we held the lock sampled its channel before this
-			// point, and this broadcast closes it.
-			d.broadcastStep()
-			if !stepped {
-				select {
-				case <-cpl.ch:
-					return cpl, nil
-				default:
-					retract()
-					return nil, ErrTimeout
-				}
+		d.step()
+		if d.waiters.Load() <= 1 {
+			continue
+		}
+		// Others wait for the lock or their completions: hand the lock over
+		// and wait for our completion or the next free turn.
+		d.release()
+		for {
+			// Sample the progress channel BEFORE trying the lock: every
+			// release after this point closes the sampled channel, so a
+			// driver releasing between a failed TryLock and the wait cannot
+			// strand us on a channel nobody closes.
+			progress := d.stepChan()
+			if cpl.take() {
+				return cpl, nil
 			}
-		} else if d.driverGid.Load() == self {
-			// We ARE the driver, reentered from inside a handler it is
-			// running (an SDK call in an OnReading/OnAdvert callback or a
-			// ScheduleAfter closure). Pump directly, as the pre-runtime
-			// SDK's inline Step loop did — parking would deadlock on
-			// ourselves.
-			if !d.core.Network.Step() {
-				select {
-				case <-cpl.ch:
-					return cpl, nil
-				default:
-					retract()
-					return nil, ErrTimeout
-				}
+			if d.pumpMu.TryLock() {
+				break
 			}
-		} else {
 			select {
 			case <-cpl.ch:
 				return cpl, nil
@@ -745,8 +785,90 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 	}
 }
 
+// step advances the simulator by one event (one barrier round on the sharded
+// clock) for a caller holding the driver lock, directly or up its stack.
+// Every request registers its expiry before the first step that could
+// complete it and keeps it queued until it completes, so a caller still
+// waiting always finds an event to run.
+func (d *Deployment) step() {
+	if !d.core.Network.Step() {
+		panic("micropnp: simulator drained while a request was still pending")
+	}
+}
+
+// waitLock blocks until the driver lock another goroutine holds comes free.
+func (d *Deployment) waitLock() {
+	if d.lockWaitHook != nil {
+		d.lockWaitHook()
+	}
+	d.pumpMu.Lock()
+}
+
+// release ends a driver tenure: it forgets the holder's goroutine id, drops
+// the lock and wakes the goroutines parked for it. Broadcast AFTER
+// unlocking: a goroutine whose TryLock failed while we held the lock sampled
+// its channel before this point, and this broadcast closes it.
+func (d *Deployment) release() {
+	d.driverGid.Store(0)
+	d.pumpMu.Unlock()
+	d.broadcastStep()
+}
+
+// reentrant reports whether a caller that found the driver lock held is the
+// holder itself, re-entered from a user callback it is running. Callbacks
+// run only on the goroutine stepping the simulator, so with none in progress
+// the holder is another goroutine and no stack walk is needed; otherwise the
+// caller's goroutine id is compared with the one the callback recorded.
+func (d *Deployment) reentrant() bool {
+	return d.cbDepth.Load() > 0 && d.driverGid.Load() == d.gid()
+}
+
+// checkConduct panics when a Conduct call owns the simulator. A blocking
+// call that is neither a strand's (carrying Strand.Context) nor a callback's
+// would wait for the driver lock until Conduct ends — forever when the
+// caller is a strand, which the orchestrator is waiting on.
+func (d *Deployment) checkConduct() {
+	if d.conduct.Load() != nil {
+		panic("micropnp: blocking call during Conduct outside its strands; strands must pass Strand.Context()")
+	}
+}
+
+// enterCallback opens the scope of a user callback the simulator invokes:
+// ScheduleAfter closures, OnAdvert, AddAdvertHook and Subscribe's onReading.
+// In virtual mode callbacks run on the goroutine holding the driver lock
+// (the sharded clock keeps the lane hosting clients and scheduled closures
+// on its driving goroutine), so the first callback of a tenure records that
+// goroutine's id for reentrant: one stack walk per tenure that runs any
+// callback, none in tenures that run none. Real-time callbacks run on pool
+// workers outside any driver tenure and need no scope.
+func (d *Deployment) enterCallback() {
+	if d.realtime {
+		return
+	}
+	if d.driverGid.Load() == 0 {
+		d.driverGid.Store(d.gid())
+	}
+	d.cbDepth.Add(1)
+}
+
+// exitCallback closes the scope enterCallback opened.
+func (d *Deployment) exitCallback() {
+	if !d.realtime {
+		d.cbDepth.Add(-1)
+	}
+}
+
 // noRetract is the shared no-op for registrations with nothing to withdraw.
 func noRetract() {}
+
+// orNoRetract maps a nil retract to noRetract, sparing every abandonment
+// site a nil check.
+func orNoRetract(retract func()) func() {
+	if retract == nil {
+		return noRetract
+	}
+	return retract
+}
 
 // completion is the once-only done signal of one await, drawn from a pool:
 // the registered callback invokes complete(), which wins the CAS and sends
@@ -780,13 +902,23 @@ func (c *completion) complete() {
 	}
 }
 
+// take consumes the completion token if it has been delivered.
+func (c *completion) take() bool {
+	select {
+	case <-c.ch:
+		return true
+	default:
+		return false
+	}
+}
+
 // recycle returns a completion whose token has been consumed to the pool.
-// Abandoned completions (context cancellation, deployment close, the
-// defensive drained-queue timeout) are deliberately NOT recycled: the
-// registered callback may already be mid-dispatch and fire complete() after
-// the caller gave up — retract only prevents callbacks that have not started
-// — and a recycled completion would deliver that stale token to an unrelated
-// call. Those rare abandonments are left to the GC.
+// Abandoned completions (context cancellation, deployment close) are
+// deliberately NOT recycled: the registered callback may already be
+// mid-dispatch and fire complete() after the caller gave up — retract only
+// prevents callbacks that have not started — and a recycled completion would
+// deliver that stale token to an unrelated call. Those rare abandonments are
+// left to the GC.
 func (c *completion) recycle() {
 	c.fired.Store(false)
 	c.vals = nil
@@ -795,10 +927,12 @@ func (c *completion) recycle() {
 	completionPool.Put(c)
 }
 
-// gid returns the current goroutine's id (parsed from runtime.Stack; there
-// is no cheaper portable way). Called once per blocking SDK call, not per
-// simulation step.
-func gid() int64 {
+// gid returns the current goroutine's id, parsed from runtime.Stack (there
+// is no cheaper portable way), and counts the walk in stackWalks. Only
+// reentrancy detection needs it, and only while a user callback runs (see
+// enterCallback and reentrant).
+func (d *Deployment) gid() int64 {
+	d.stackWalks.Add(1)
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	// The header is "goroutine <id> [...".
@@ -825,9 +959,9 @@ func (d *Deployment) stepChan() <-chan struct{} {
 // channel and installing a fresh one. Every caller is itself registered in
 // d.waiters, so a count of 1 means no one else can be parked (a goroutine
 // registers BEFORE sampling the channel, and the sequentially consistent
-// atomics make its registration visible to the driver's post-step load) —
+// atomics make its registration visible to the releasing driver's load) —
 // the common single-goroutine virtual program pays one atomic load per
-// step and the hot loop stays allocation-free.
+// call and the hot loop stays allocation-free.
 func (d *Deployment) broadcastStep() {
 	if d.waiters.Load() <= 1 {
 		return
